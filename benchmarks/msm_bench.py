@@ -1,70 +1,59 @@
-"""MSM engine benchmark: Pippenger baseline vs batch-affine / parallel / fixed-base.
+"""MSM benchmark: the curve engine on BN254 G1 and G2 against the naive MSM.
 
-Standalone harness (NOT collected by pytest) comparing every G1 MSM
-variant in :mod:`repro.ec` on random points and scalars::
+Standalone harness (NOT collected by pytest).  It times the real-curve
+backend — one curve engine for both groups — on random scalars, checks
+every result against :func:`repro.ec.msm.msm_naive` (affine
+double-and-add, the independent reference), and records where it ran::
 
     PYTHONPATH=src python benchmarks/msm_bench.py \
-        --sizes 256,1024,4096 --repeat 3 --out BENCH_msm.json
+        --groups g1,g2 --sizes 16,64,256 --repeat 3 --out BENCH_msm.json
 
-Variants:
+Columns per ``(group, n)`` row, each the best of ``--repeat`` runs:
 
-* ``naive``        — double-and-add per term (small sizes only; ground truth)
-* ``pippenger``    — :func:`repro.ec.jacobian.msm_jacobian`, the engine every
-                     proof used before this change (unsigned windows,
-                     Jacobian buckets)
-* ``batch_affine`` — signed-digit windows + batch-affine buckets
-                     (one field inversion per reduction round)
-* ``parallel``     — batch-affine chunks across a process pool
-* ``fixed_base``   — precomputed window-shifted bases; ``build`` cost is
-                     reported separately because a serving session pays it
-                     once per CRS, then amortizes it over every proof
+* ``naive_s``       — ``msm_naive`` (run once; it is the reference)
+* ``msm_s``         — ``backend.msm(points, scalars)``
+* ``parallel_s``    — ``backend.msm(..., parallelism=P)`` when ``P > 1``
+* ``table_build_s`` / ``table_query_s`` — ``backend.precompute_msm(points)``
+  and one query of the table
+* ``scalar_mul_s``  — ``backend.scalar_mul`` of one point by one scalar
 
-Each timing is the best of ``--repeat`` runs; all variants are checked
-against each other before timings are reported.  The JSON written to
-``--out`` records per-size wall times plus ``speedup_vs_pippenger``.
+The harness uses only the ``GroupBackend`` API, so the same script run in
+an older checkout measures that checkout's engines.  ``--baseline FILE``
+reads such a run and adds ``before_*`` columns and ``speedup_*`` ratios
+(before / after) to every matching row.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from repro.ec.batch_affine import msm_batch_affine, msm_parallel
-from repro.ec.bn254 import BN254_G1
-from repro.ec.fixed_base import FixedBaseTableG1, batch_normalize
-from repro.ec.jacobian import j_add_mixed, msm_jacobian, to_jacobian
-from repro.ec.msm import msm_naive, pick_window
-from repro.field.fp import BN254_FQ
+from repro.ec.backend import RealBN254Backend
+from repro.ec.bn254 import BN254_G1, BN254_G2
+from repro.ec.msm import msm_naive
 
-NAIVE_MAX = 512  # double-and-add is ~100x slower; skip it at larger sizes
+GROUPS = {"g1": BN254_G1, "g2": BN254_G2}
+TIMED = ("msm_s", "parallel_s", "table_query_s", "scalar_mul_s")
 
 
-def make_points(n: int):
-    """n distinct G1 points as the prefix sums G, 2G, 3G, ... (cheap: one
-    mixed addition each, one batched inversion to normalize)."""
-    g = BN254_G1.generator
-    g_aff = (g.x.value, g.y.value)
-    jacs = []
-    acc = to_jacobian(g)
+def make_points(backend, group, n: int):
+    """n distinct points G, 2G, 3G, ... as prefix sums (one add each)."""
+    g = group.generator
+    points, acc = [], g
     for _ in range(n):
-        jacs.append(acc)
-        acc = j_add_mixed(acc, g_aff)
-    return [
-        BN254_G1.point(BN254_FQ(x), BN254_FQ(y))
-        for x, y in batch_normalize(jacs)
-    ]
-
-
-def make_scalars(n: int, seed: int):
-    rng = random.Random(seed)
-    return [rng.randrange(1, BN254_G1.order) for _ in range(n)]
+        points.append(acc)
+        acc = backend.add(acc, g)
+    return points
 
 
 def best_of(fn, repeat: int):
@@ -79,134 +68,124 @@ def best_of(fn, repeat: int):
     return best, result
 
 
-def bench_size(n: int, repeat: int, parallelism: int, seed: int) -> dict:
-    points = make_points(n)
-    scalars = make_scalars(n, seed)
-    row: dict = {"n": n, "window": pick_window(n, signed=True)}
+def bench_row(backend, name: str, n: int, repeat: int, parallelism: int,
+              seed: int) -> dict:
+    group = GROUPS[name]
+    rng = random.Random(seed + n)
+    points = make_points(backend, group, n)
+    scalars = [rng.randrange(1, group.order) for _ in range(n)]
+    row: dict = {"group": name, "n": n}
     results = {}
 
-    if n <= NAIVE_MAX:
-        row["naive_s"], results["naive"] = best_of(
-            lambda: msm_naive(points, scalars, group=BN254_G1), repeat
-        )
-    row["pippenger_s"], results["pippenger"] = best_of(
-        lambda: msm_jacobian(points, scalars), repeat
+    row["naive_s"], reference = best_of(
+        lambda: msm_naive(points, scalars, group=group), 1
     )
-    row["batch_affine_s"], results["batch_affine"] = best_of(
-        lambda: msm_batch_affine(points, scalars), repeat
+    row["msm_s"], results["msm"] = best_of(
+        lambda: backend.msm(points, scalars), repeat
     )
     if parallelism > 1:
         row["parallel_s"], results["parallel"] = best_of(
-            lambda: msm_parallel(points, scalars, parallelism=parallelism),
+            lambda: backend.msm(points, scalars, parallelism=parallelism),
             repeat,
         )
         row["parallelism"] = parallelism
-
-    build_s, table = best_of(lambda: FixedBaseTableG1(points), 1)
-    row["fixed_base_build_s"] = build_s
-    row["fixed_base_query_s"], results["fixed_base"] = best_of(
+    row["table_build_s"], table = best_of(
+        lambda: backend.precompute_msm(points), 1
+    )
+    row["table_query_s"], results["table"] = best_of(
         lambda: table.msm(scalars), repeat
     )
-
-    reference = results["pippenger"]
-    for name, value in results.items():
+    row["scalar_mul_s"], results["scalar_mul"] = best_of(
+        lambda: backend.scalar_mul(points[-1], scalars[-1]), repeat
+    )
+    expected_mul = group.scalar_mul(points[-1], scalars[-1])
+    if results.pop("scalar_mul") != expected_mul:
+        raise AssertionError(f"{name} scalar_mul disagrees with affine")
+    for variant, value in results.items():
         if value != reference:
-            raise AssertionError(f"{name} disagrees with pippenger at n={n}")
-
-    base = row["pippenger_s"]
-    row["speedup_vs_pippenger"] = {
-        name.rsplit("_s", 1)[0]: round(base / row[name], 3)
-        for name in (
-            "batch_affine_s", "parallel_s", "fixed_base_query_s"
-        )
-        if name in row
-    }
+            raise AssertionError(
+                f"{name} {variant} disagrees with msm_naive at n={n}"
+            )
+    row["matches_naive"] = True
     return row
 
 
-def bench_batch_inverse(n: int, repeat: int, seed: int) -> dict:
-    """The batch-inversion hot path: naive per-element inversion (what an
-    unbatched affine formula would pay per addition) vs the Montgomery
-    batched trick the bucket fold actually uses, through the active field
-    backend.  ``zero_ok`` lanes are exercised too."""
+def provenance() -> dict:
     from repro.field.backend import backend_name
-    from repro.field.vector import batch_inverse
 
-    rng = random.Random(seed)
-    values = [rng.randrange(1, BN254_FQ.modulus) for _ in range(n)]
-    naive_s, naive = best_of(
-        lambda: [BN254_FQ.inv(v) for v in values], repeat
-    )
-    batched_s, batched = best_of(
-        lambda: batch_inverse(BN254_FQ, values), repeat
-    )
-    if naive != batched:
-        raise AssertionError("batched inversion disagrees with naive")
-    with_zeros = list(values)
-    with_zeros[:: max(n // 16, 1)] = [
-        0 for _ in with_zeros[:: max(n // 16, 1)]
-    ]
-    zero_ok_s, zero_ok = best_of(
-        lambda: batch_inverse(BN254_FQ, with_zeros, zero_ok=True), repeat
-    )
-    for v, i in zip(with_zeros, zero_ok):
-        if (v == 0) != (i == 0) or (v and v * i % BN254_FQ.modulus != 1):
-            raise AssertionError("zero_ok lane mismatch")
+    try:
+        commit = subprocess.run(
+            ["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
     return {
-        "n": n,
-        "backend": backend_name(),
-        "naive_inv_s": naive_s,
-        "batched_s": batched_s,
-        "batched_zero_ok_s": zero_ok_s,
-        "speedup_batched_vs_naive": round(naive_s / batched_s, 3),
+        "group_backend": RealBN254Backend.name,
+        "field_backend": backend_name(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "commit": commit,
     }
+
+
+def merge_baseline(report: dict, baseline: dict) -> None:
+    """Add the baseline run's timings as ``before_*`` columns."""
+    before = {(r["group"], r["n"]): r for r in baseline["rows"]}
+    report["before"] = {
+        k: baseline.get(k)
+        for k in ("commit", "group_backend", "field_backend", "nproc", "python")
+    }
+    for row in report["rows"]:
+        old = before.get((row["group"], row["n"]))
+        if old is None:
+            continue
+        for col in TIMED + ("table_build_s",):
+            if col in row and col in old:
+                row[f"before_{col}"] = old[col]
+                if col in TIMED:
+                    row[f"speedup_{col[:-2]}"] = round(old[col] / row[col], 3)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--groups", default="g1,g2", help="g1, g2 or both")
     parser.add_argument(
-        "--sizes", default="256,1024,4096",
-        help="comma-separated MSM sizes",
+        "--sizes", default="16,64,256", help="comma-separated MSM sizes"
     )
     parser.add_argument("--repeat", type=int, default=3, help="best-of runs")
     parser.add_argument(
-        "--parallelism", type=int, default=4,
-        help="process count for the parallel variant (<=1 skips it)",
+        "--parallelism", type=int, default=2,
+        help="process count for the parallel column (<=1 skips it)",
     )
     parser.add_argument("--seed", type=int, default=0xBE27C4)
+    parser.add_argument(
+        "--baseline", default=None,
+        help="JSON from a run of this script in an older checkout",
+    )
     parser.add_argument("--out", default=None, help="write JSON here")
     args = parser.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    report = {
-        "bench": "msm",
-        "curve": "bn254-g1",
-        "repeat": args.repeat,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "sizes": [],
-    }
-    for n in sizes:
-        row = bench_size(n, args.repeat, args.parallelism, args.seed)
-        report["sizes"].append(row)
-        speed = ", ".join(
-            f"{k} {v:.2f}x" for k, v in row["speedup_vs_pippenger"].items()
-        )
-        print(
-            f"n={n:>6d}  pippenger {row['pippenger_s']:.3f}s  [{speed}]",
-            flush=True,
-        )
-
-    report["batch_inverse"] = []
-    for n in sizes:
-        inv_row = bench_batch_inverse(n, args.repeat, args.seed)
-        report["batch_inverse"].append(inv_row)
-        print(
-            f"batch_inverse n={n:>6d}  naive {inv_row['naive_inv_s']:.4f}s"
-            f"  batched {inv_row['batched_s']:.4f}s"
-            f"  {inv_row['speedup_batched_vs_naive']:.2f}x",
-            flush=True,
-        )
+    backend = RealBN254Backend()
+    report = {"bench": "msm", "repeat": args.repeat}
+    report.update(provenance())
+    report["rows"] = []
+    for name in args.groups.split(","):
+        for n in (int(s) for s in args.sizes.split(",") if s):
+            row = bench_row(
+                backend, name, n, args.repeat, args.parallelism, args.seed
+            )
+            report["rows"].append(row)
+            print(
+                f"{name} n={n:>5d}  naive {row['naive_s']:.3f}s"
+                f"  msm {row['msm_s']:.4f}s"
+                f"  table {row['table_query_s']:.4f}s"
+                f"  scalar_mul {row['scalar_mul_s']:.5f}s",
+                flush=True,
+            )
+    if args.baseline:
+        merge_baseline(report, json.loads(Path(args.baseline).read_text()))
 
     from repro.core.metrics import peak_rss_bytes
 

@@ -119,7 +119,7 @@ class BatchProver:
         With ``precompute`` (the default), fixed-base MSM tables are built
         over the CRS query vectors alongside the setup; ``self.tables``
         then serves every proof of the session without re-deriving
-        window-shifted bases (see :mod:`repro.ec.fixed_base`).
+        window-shifted bases (see :class:`repro.ec.engine.FixedBaseTable`).
         """
         if self._setup is None:
             from repro.ec.backend import SimulatedBackend

@@ -5,14 +5,16 @@ The SNARK layer (:mod:`repro.snark`) programs exclusively against
 ``SimulatedBackend`` changes only the per-operation constant factor (and
 cryptographic hardness — see :mod:`repro.ec.simulated`), never the algebra.
 
-``msm`` routes through the engine hierarchy (see :mod:`repro.ec.msm` for
-the map): batch-affine signed windows for real G1 vectors, the chunked
-process-parallel mode when a ``parallelism`` knob is passed, the Jacobian
-path for small inputs, and generic affine Pippenger for G2.  The empty MSM
-returns the group identity (``zero=`` overrides which one).
-``precompute_msm`` returns a fixed-base table for CRS-style reuse — the
-serving layer builds tables once per proving key and queries them on every
-proof.
+On the real curve every point operation runs through the one curve engine
+(:mod:`repro.ec.engine`), the same code for G1 and G2 at any input size:
+
+* ``scalar_mul`` — Jacobian double-and-add, one inversion at the end;
+* ``msm`` — the signed-window batch-affine MSM; a chunked proving-key
+  query streams one chunk at a time, and ``parallelism > 1`` splits large
+  MSMs across processes.  The empty MSM returns the group identity
+  (``zero=`` names which one);
+* ``precompute_msm`` — a :class:`~repro.ec.engine.FixedBaseTable` the
+  serving layer builds once per proving key and queries on every proof.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.field.fp import BN254_FR, Field
-from repro.ec import bn254
-from repro.ec.msm import msm as pippenger_msm
+from repro.ec import bn254, engine
 from repro.ec.simulated import (
     G1_TAG,
     G2_TAG,
@@ -35,38 +36,6 @@ from repro.ec.simulated import (
 )
 
 GroupElement = Any  # Point | SimPoint
-
-# Below this size the sparse bucket lists of the batch-affine engine cannot
-# amortize their inversions; the Jacobian path wins.
-_BATCH_AFFINE_MIN = 32
-# Below this size chunking overhead (pickling + IPC) swamps the win.
-_PARALLEL_MIN = 256
-
-
-class _GenericMSMTable:
-    """Fallback 'fixed-base table': no precomputation, but tracked reuse.
-
-    Used where real shifted-window tables are not implemented (G2 vectors,
-    empty vectors).  Presents the same ``msm(scalars)`` / ``uses``
-    interface as :class:`repro.ec.fixed_base.FixedBaseTableG1`.
-    """
-
-    def __init__(self, points, msm_fn, zero) -> None:
-        self.points = list(points)
-        self.n = len(self.points)
-        self._msm = msm_fn
-        self._zero = zero
-        self.uses = 0
-
-    def msm(self, scalars: Sequence[int]) -> GroupElement:
-        if len(scalars) > self.n:
-            raise ValueError(
-                f"{len(scalars)} scalars for a table of {self.n} points"
-            )
-        self.uses += 1
-        if not scalars or not self.points:
-            return self._zero
-        return self._msm(self.points[: len(scalars)], list(scalars))
 
 
 class GroupBackend(ABC):
@@ -163,15 +132,26 @@ class GroupBackend(ABC):
 
         The returned object exposes ``msm(scalars)`` (accepting *up to*
         ``len(points)`` scalars; missing ones count as zero) and a ``uses``
-        counter.  Default implementation is a dispatch-only wrapper;
-        backends override with real precomputation.
+        counter of completed queries.  ``zero`` names the group of an
+        empty vector.
         """
-        return _GenericMSMTable(
-            points, self.msm, zero if zero is not None else self.g1_zero()
-        )
+        raise NotImplementedError
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.add(a, self.neg(b))
+
+
+def _engine_of(points, zero) -> "engine.CurveEngine":
+    """The curve engine of a point vector (list or chunked query); an
+    empty vector belongs to the group of ``zero``, G1 by default."""
+    kind = getattr(points, "kind", None)  # a chunked query's "g1" / "g2"
+    if kind is not None:
+        group = bn254.BN254_G2 if kind == "g2" else bn254.BN254_G1
+    elif len(points):
+        group = points[0].group
+    else:
+        group = zero.group if zero is not None else bn254.BN254_G1
+    return engine.engine_for(group)
 
 
 class RealBN254Backend(GroupBackend):
@@ -198,23 +178,9 @@ class RealBN254Backend(GroupBackend):
         return a.group.neg(a)
 
     def scalar_mul(self, a, k: int):
-        return a.group.scalar_mul(a, k)
+        return engine.engine_for(a.group).scalar_mul(a, k)
 
     def msm(self, points, scalars, *, zero=None, parallelism=None, window=None):
-        if hasattr(points, "iter_chunks"):
-            if len(points) != len(scalars):
-                raise ValueError(
-                    f"points/scalars length mismatch: "
-                    f"{len(points)} vs {len(scalars)}"
-                )
-            if getattr(points, "kind", None) == "g1":
-                from repro.ec.batch_affine import msm_streamed
-
-                return msm_streamed(points.iter_chunks(), scalars, window=window)
-            return self._msm_chunked(
-                points, scalars, zero=zero, parallelism=parallelism,
-                window=window,
-            )
         if len(points) != len(scalars):
             raise ValueError(
                 f"points/scalars length mismatch: "
@@ -222,28 +188,13 @@ class RealBN254Backend(GroupBackend):
             )
         if not points:
             return zero if zero is not None else self.g1_zero()
-        # G1 MSMs take the inversion-free engines; G2 (whose coordinates
-        # live in Fq2) uses the generic affine Pippenger.
-        if points[0].group is bn254.BN254_G1:
-            from repro.ec.batch_affine import msm_batch_affine, msm_parallel
-            from repro.ec.jacobian import msm_jacobian
-
-            n = len(points)
-            if parallelism and parallelism > 1 and n >= _PARALLEL_MIN:
-                return msm_parallel(
-                    points, scalars, parallelism=parallelism, window=window
-                )
-            if n >= _BATCH_AFFINE_MIN:
-                return msm_batch_affine(points, scalars, window=window)
-            return msm_jacobian(points, scalars, window=window)
-        return pippenger_msm(points, scalars, window=window)
+        curve = _engine_of(points, zero)
+        if hasattr(points, "iter_chunks"):
+            return curve.msm_streamed(points.iter_chunks(), scalars, window)
+        return curve.msm(points, scalars, window, parallelism)
 
     def precompute_msm(self, points, zero=None):
-        if points and points[0].group is bn254.BN254_G1:
-            from repro.ec.fixed_base import FixedBaseTableG1
-
-            return FixedBaseTableG1(points)
-        return super().precompute_msm(points, zero)
+        return engine.FixedBaseTable(_engine_of(points, zero), points)
 
     def pairing_product_is_one(self, pairs) -> bool:
         return bn254.pairing_product_is_one(tuple(pairs))

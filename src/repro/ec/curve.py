@@ -6,10 +6,11 @@ Miller loop.  Coordinates are any objects supporting field operator
 overloading (``FieldElement`` or ``ExtensionField``), so the code reads like
 the textbook affine formulas.
 
-Affine arithmetic pays one coordinate-field inversion per addition; that is
-acceptable here because all performance-critical sweeps run on the
-exponent-tracking simulated backend (see :mod:`repro.ec.simulated`), while
-the real curve is used for correctness tests and the quickstart proof.
+Affine arithmetic pays one coordinate-field inversion per addition.  The
+real backend's hot paths therefore run on the inversion-free and batched
+curve engine (:mod:`repro.ec.engine`); this module remains the Miller
+loop's arithmetic and the plain textbook reference every engine result is
+tested against.
 """
 
 from __future__ import annotations

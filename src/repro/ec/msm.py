@@ -1,27 +1,21 @@
-"""Pippenger multi-scalar multiplication.
+"""MSM helpers shared by the curve engine, plus the naive reference MSM.
 
 Security computation in Groth16 is dominated by MSMs: the prover computes
 ``sum_i w_i * G_i`` over the witness (size ``n``) and over the QAP quotient
 coefficients (size ``m``).  The paper's observation that proof latency is
 proportional to ``n`` and ``m`` (§2.1) is precisely the MSM size.
 
-This module holds the generic (any :class:`~repro.ec.curve.CurveGroup`,
-affine-coordinate) Pippenger implementation plus the shared helpers every
-MSM variant uses:
+The engine itself — one signed-window batch-affine MSM for G1 and G2 —
+lives in :mod:`repro.ec.engine`.  This module holds what it shares with
+the simulated group's cost model and the tests:
 
 * :func:`pick_window` — window size chosen by the ``(bits/c)·(n + B_c)``
   cost model, where ``B_c`` is the bucket count of the variant;
 * :func:`signed_digits` — wNAF-style signed ``c``-bit digit decomposition,
-  which halves the bucket count (digits in ``[-2^(c-1), 2^(c-1)]``).
-
-The fast G1-only engines live next door: :mod:`repro.ec.jacobian`
-(inversion-free buckets), :mod:`repro.ec.batch_affine` (batched affine
-buckets + the chunked parallel mode), and :mod:`repro.ec.fixed_base`
-(precomputed tables for CRS-style fixed bases).
-
-An MSM over the empty vector is the group identity; the implementations
-return it when they know the group (``msm_jacobian`` always does; the
-generic entry points take an optional ``group=``).
+  which halves the bucket count (digits in ``[-2^(c-1), 2^(c-1)]``);
+* :func:`msm_naive` — double-and-add over the affine
+  :class:`~repro.ec.curve.CurveGroup` law, the independent reference the
+  engine is tested against.
 """
 
 from __future__ import annotations
@@ -57,10 +51,6 @@ def pick_window(n: int, bits: int = 254, signed: bool = False) -> int:
     return best_c
 
 
-# Backwards-compatible alias (the old private name is referenced in tests).
-_pick_window = pick_window
-
-
 def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
     """Signed ``c``-bit digit decomposition of a non-negative scalar.
 
@@ -85,61 +75,6 @@ def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
     return digits
 
 
-def _empty_result(group: Optional[CurveGroup], caller: str) -> Point:
-    if group is None:
-        raise ValueError(
-            f"{caller} over an empty vector needs group= to return identity"
-        )
-    return group.infinity()
-
-
-def msm(
-    points: Sequence[Point],
-    scalars: Sequence[int],
-    window: Optional[int] = None,
-    group: Optional[CurveGroup] = None,
-) -> Point:
-    """Compute ``sum_i scalars[i] * points[i]`` with bucketed windows.
-
-    Works over any :class:`CurveGroup` (this is the G2 path; G1 has the
-    faster engines).  Empty input returns ``group.infinity()`` when
-    ``group`` is given, else raises — the sum over an empty set is the
-    identity, but we cannot conjure the group from nothing.
-    """
-    if len(points) != len(scalars):
-        raise ValueError(
-            f"points/scalars length mismatch: {len(points)} vs {len(scalars)}"
-        )
-    if not points:
-        return _empty_result(group, "msm")
-    group = points[0].group
-    order = group.order
-    reduced = [s % order if order else s for s in scalars]
-    c = window or pick_window(len(points))
-    max_bits = max((s.bit_length() for s in reduced), default=1) or 1
-    num_windows = (max_bits + c - 1) // c
-
-    total = group.infinity()
-    for w in range(num_windows - 1, -1, -1):
-        if w != num_windows - 1:
-            for _ in range(c):
-                total = group.double(total)
-        shift = w * c
-        mask = (1 << c) - 1
-        buckets = [group.infinity() for _ in range(mask)]
-        for point, scalar in zip(points, reduced):
-            idx = (scalar >> shift) & mask
-            if idx:
-                buckets[idx - 1] = group.add(buckets[idx - 1], point)
-        running = group.infinity()
-        window_sum = group.infinity()
-        for bucket in reversed(buckets):
-            running = group.add(running, bucket)
-            window_sum = group.add(window_sum, running)
-        total = group.add(total, window_sum)
-    return total
-
-
 def msm_naive(
     points: Sequence[Point],
     scalars: Sequence[int],
@@ -151,7 +86,12 @@ def msm_naive(
             f"points/scalars length mismatch: {len(points)} vs {len(scalars)}"
         )
     if not points:
-        return _empty_result(group, "msm_naive")
+        # The empty sum is the identity, but of which group?
+        if group is None:
+            raise ValueError(
+                "msm_naive over an empty vector needs group= to return identity"
+            )
+        return group.infinity()
     group = points[0].group
     acc = group.infinity()
     for point, scalar in zip(points, scalars):

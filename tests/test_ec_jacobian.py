@@ -1,162 +1,181 @@
-"""Tests for the Jacobian fast path, cross-checked against affine G1."""
+"""Tests for the engine's Jacobian arithmetic, on G1 and on G2.
+
+Every operation is cross-checked against the affine reference
+(:class:`repro.ec.curve.CurveGroup`) in both groups: G1 over Fq raw ints
+and G2 over raw Fq2 pairs share one implementation.
+"""
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec.bn254 import BN254_G1
-from repro.ec.jacobian import (
-    J_INFINITY,
-    j_add,
-    j_add_mixed,
-    j_double,
-    j_neg,
-    j_scalar_mul,
-    msm_jacobian,
-    to_affine,
-    to_jacobian,
-)
-from repro.ec.msm import msm, msm_naive
+from repro.ec import engine
+from repro.ec.bn254 import BN254_G1, BN254_G2
+from repro.ec.engine import engine_for
+from repro.ec.msm import msm_naive
 
 R = BN254_G1.order
 G = BN254_G1.generator
+GROUPS = (BN254_G1, BN254_G2)
+
+
+def _curves():
+    """(engine, affine group, generator) for G1 and G2."""
+    return [(engine_for(g), g, g.generator) for g in GROUPS]
 
 
 class TestConversions:
     def test_roundtrip(self):
-        p = 12345 * G
-        assert to_affine(to_jacobian(p)) == p
+        for curve, _, g in _curves():
+            p = 12345 * g
+            assert curve.to_affine(curve.to_jacobian(p)) == p
 
     def test_infinity(self):
-        assert to_affine(J_INFINITY).is_infinity()
-        assert to_jacobian(BN254_G1.infinity()) == J_INFINITY
+        for curve, group, _ in _curves():
+            assert curve.to_affine(curve.infinity).is_infinity()
+            assert curve.to_jacobian(group.infinity()) == curve.infinity
 
     def test_unnormalized_z(self):
         """Scaling (X, Y, Z) by (l^2, l^3, l) represents the same point."""
-        x, y, z = to_jacobian(7 * G)
-        q = BN254_G1.order  # any scalar; use field ops on base prime
-        from repro.field.fp import BN254_FQ_MODULUS as Q
-
-        lam = 987654321
-        scaled = (
-            (x * lam * lam) % Q,
-            (y * lam * lam * lam) % Q,
-            (z * lam) % Q,
-        )
-        assert to_affine(scaled) == 7 * G
+        for curve, _, g in _curves():
+            F = curve.ops
+            x, y, z = curve.to_jacobian(7 * g)
+            lam = 987654321 if F is engine.FQ_OPS else (987654321, 31337)
+            lam2 = F.sqr(lam)
+            scaled = (F.mul(x, lam2), F.mul(y, F.mul(lam2, lam)), F.mul(z, lam))
+            assert curve.to_affine(scaled) == 7 * g
 
 
 class TestGroupLaw:
     def test_double_matches_affine(self):
-        for k in (1, 2, 17, 9999):
-            p = k * G
-            assert to_affine(j_double(to_jacobian(p))) == BN254_G1.double(p)
+        for curve, group, g in _curves():
+            for k in (1, 2, 17, 9999):
+                p = k * g
+                got = curve.to_affine(curve.double(curve.to_jacobian(p)))
+                assert got == group.double(p)
 
     def test_double_infinity_and_order2(self):
-        assert j_double(J_INFINITY) == J_INFINITY
+        for curve, _, _ in _curves():
+            assert curve.double(curve.infinity) == curve.infinity
 
     def test_add_matches_affine(self):
-        a, b = 3 * G, 11 * G
-        assert to_affine(j_add(to_jacobian(a), to_jacobian(b))) == a + b
+        for curve, _, g in _curves():
+            a, b = 3 * g, 11 * g
+            j = curve.add(curve.to_jacobian(a), curve.to_jacobian(b))
+            assert curve.to_affine(j) == a + b
 
     def test_add_equal_points_doubles(self):
-        p = to_jacobian(5 * G)
-        assert to_affine(j_add(p, p)) == 10 * G
+        for curve, _, g in _curves():
+            p = curve.to_jacobian(5 * g)
+            assert curve.to_affine(curve.add(p, p)) == 10 * g
 
     def test_add_inverse_gives_infinity(self):
-        p = to_jacobian(5 * G)
-        assert to_affine(j_add(p, j_neg(p))).is_infinity()
+        for curve, _, g in _curves():
+            p, q = curve.to_jacobian(5 * g), curve.to_jacobian(-(5 * g))
+            assert curve.to_affine(curve.add(p, q)).is_infinity()
 
     def test_add_identity(self):
-        p = to_jacobian(5 * G)
-        assert to_affine(j_add(p, J_INFINITY)) == 5 * G
-        assert to_affine(j_add(J_INFINITY, p)) == 5 * G
+        for curve, _, g in _curves():
+            p = curve.to_jacobian(5 * g)
+            assert curve.to_affine(curve.add(p, curve.infinity)) == 5 * g
+            assert curve.to_affine(curve.add(curve.infinity, p)) == 5 * g
 
     def test_mixed_add_matches_full(self):
-        p = to_jacobian(9 * G)
-        q = 4 * G
-        mixed = j_add_mixed(p, (q.x.value, q.y.value))
-        assert to_affine(mixed) == 13 * G
+        for curve, _, g in _curves():
+            p = curve.double(curve.to_jacobian(9 * g))  # Z != 1
+            mixed = curve.add_mixed(p, curve.raw(4 * g))
+            assert curve.to_affine(mixed) == 22 * g
 
     def test_mixed_add_to_infinity(self):
-        q = 4 * G
-        assert to_affine(j_add_mixed(J_INFINITY, (q.x.value, q.y.value))) == q
+        for curve, _, g in _curves():
+            q = 4 * g
+            assert curve.to_affine(
+                curve.add_mixed(curve.infinity, curve.raw(q))
+            ) == q
 
     def test_mixed_add_doubling_case(self):
-        q = 4 * G
-        p = to_jacobian(q)
-        assert to_affine(j_add_mixed(p, (q.x.value, q.y.value))) == 8 * G
+        for curve, _, g in _curves():
+            q = 4 * g
+            p = curve.to_jacobian(q)
+            assert curve.to_affine(curve.add_mixed(p, curve.raw(q))) == 8 * g
 
     def test_mixed_add_cancellation(self):
-        q = 4 * G
-        p = to_jacobian(-q)
-        assert to_affine(j_add_mixed(p, (q.x.value, q.y.value))).is_infinity()
+        for curve, _, g in _curves():
+            q = 4 * g
+            p = curve.to_jacobian(-q)
+            assert curve.to_affine(
+                curve.add_mixed(p, curve.raw(q))
+            ).is_infinity()
 
     @given(
+        group=st.sampled_from(GROUPS),
         a=st.integers(min_value=1, max_value=10**9),
         b=st.integers(min_value=1, max_value=10**9),
     )
     @settings(max_examples=15, deadline=None)
-    def test_property_add_matches_scalar_arithmetic(self, a, b):
-        lhs = to_affine(j_add(to_jacobian(a * G), to_jacobian(b * G)))
-        assert lhs == (a + b) * G
+    def test_property_add_matches_scalar_arithmetic(self, group, a, b):
+        curve, g = engine_for(group), group.generator
+        j = curve.add(curve.to_jacobian(a * g), curve.to_jacobian(b * g))
+        assert curve.to_affine(j) == (a + b) * g
 
 
 class TestScalarMul:
     def test_matches_affine(self):
-        for k in (0, 1, 2, R - 1, 123456789012345678901234567890):
-            assert to_affine(j_scalar_mul(to_jacobian(G), k)) == k * G
+        for curve, group, g in _curves():
+            for k in (0, 1, 2, R - 1, R + 5, -3, 123456789012345678901234567890):
+                assert curve.scalar_mul(g, k) == group.scalar_mul(g, k)
+            assert curve.scalar_mul(group.infinity(), 7).is_infinity()
 
     def test_order_annihilates(self):
-        assert to_affine(j_scalar_mul(to_jacobian(G), R)).is_infinity()
+        """Unreduced ``multiply`` by r is the identity on the subgroup,
+        while ``scalar_mul`` reduces r to 0 first."""
+        for curve, _, g in _curves():
+            assert curve.multiply(curve.raw(g), R)[2] == curve.ops.zero
+            assert curve.scalar_mul(g, R).is_infinity()
+            assert curve.in_subgroup(123 * g)
 
 
 class TestMSMJacobian:
-    def _fixture(self, count, seed=0):
+    """The engine MSM, whose window sums accumulate in Jacobian form."""
+
+    def _fixture(self, group, count, seed=0):
         rng = random.Random(seed)
-        points = [rng.randrange(1, 10_000) * G for _ in range(count)]
+        points = [rng.randrange(1, 10_000) * group.generator
+                  for _ in range(count)]
         scalars = [rng.randrange(R) for _ in range(count)]
         return points, scalars
 
-    def test_matches_affine_pippenger(self):
-        points, scalars = self._fixture(20)
-        assert msm_jacobian(points, scalars) == msm(points, scalars)
-
     def test_matches_naive(self):
-        points, scalars = self._fixture(7, seed=2)
-        assert msm_jacobian(points, scalars) == msm_naive(points, scalars)
+        for group in GROUPS:
+            points, scalars = self._fixture(group, 7, seed=2)
+            got = engine_for(group).msm(points, scalars)
+            assert got == msm_naive(points, scalars)
 
     def test_handles_infinity_points(self):
-        points, scalars = self._fixture(4, seed=3)
-        points[1] = BN254_G1.infinity()
-        assert msm_jacobian(points, scalars) == msm_naive(points, scalars)
+        for group in GROUPS:
+            points, scalars = self._fixture(group, 4, seed=3)
+            points[1] = group.infinity()
+            got = engine_for(group).msm(points, scalars)
+            assert got == msm_naive(points, scalars)
 
     def test_zero_scalars(self):
-        points, _ = self._fixture(4)
-        assert msm_jacobian(points, [0, 0, 0, 0]).is_infinity()
+        for group in GROUPS:
+            points, _ = self._fixture(group, 4)
+            assert engine_for(group).msm(points, [0, 0, 0, 0]).is_infinity()
 
     def test_window_sizes_agree(self):
-        points, scalars = self._fixture(9, seed=4)
-        expected = msm_naive(points, scalars)
-        for window in (2, 5, 11):
-            assert msm_jacobian(points, scalars, window=window) == expected
+        for group in GROUPS:
+            points, scalars = self._fixture(group, 9, seed=4)
+            expected = msm_naive(points, scalars)
+            for window in (2, 5, 11):
+                assert engine_for(group).msm(points, scalars, window) == expected
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            msm_jacobian([G], [])
-        # The empty sum is the group identity, not an error.
-        assert msm_jacobian([], []).is_infinity()
-
-    def test_faster_than_affine_pippenger(self):
-        """The reason this module exists: no per-add inversion."""
-        points, scalars = self._fixture(48, seed=5)
-        start = time.perf_counter()
-        msm_jacobian(points, scalars)
-        jac = time.perf_counter() - start
-        start = time.perf_counter()
-        msm(points, scalars)
-        aff = time.perf_counter() - start
-        assert jac < aff
+        for group in GROUPS:
+            curve = engine_for(group)
+            with pytest.raises(ValueError):
+                curve.msm([group.generator], [])
+            # The empty sum is the group identity, not an error.
+            assert curve.msm([], []) == group.infinity()

@@ -167,9 +167,9 @@ class TestBatchInverseZeroOk:
     def test_bucket_reduce_with_colliding_points(self):
         # P + (-P) pairs produce zero denominators inside the fold; the
         # zero_ok lanes must drop those pairs and still sum correctly.
-        from repro.ec.batch_affine import msm_batch_affine
         from repro.ec.bn254 import BN254_G1
-        from repro.ec.msm import msm as msm_ref
+        from repro.ec.engine import G1
+        from repro.ec.msm import msm_naive
 
         random.seed(17)
         g = BN254_G1.generator
@@ -178,13 +178,12 @@ class TestBatchInverseZeroOk:
         pts += [pts[0], -pts[0], pts[1], pts[1], pts[2], -pts[2]]
         scalars = [random.randrange(BN254_G1.order) for _ in range(48)]
         scalars += [scalars[3], scalars[3], 9, 9, 5, 5]
-        assert msm_batch_affine(pts, scalars) == msm_ref(pts, scalars)
+        assert G1.msm(pts, scalars) == msm_naive(pts, scalars)
 
     def test_batch_normalize_identities(self):
-        from repro.ec.fixed_base import batch_normalize
-        from repro.ec.jacobian import J_INFINITY
+        from repro.ec.engine import G1
 
-        out = batch_normalize([J_INFINITY, (1, 2, 1), (5, 7, 0)])
+        out = G1.batch_normalize([G1.infinity, (1, 2, 1), (5, 7, 0)])
         assert out[0] is None and out[2] is None
         assert out[1] == (1, 2)
 

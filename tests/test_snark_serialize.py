@@ -209,3 +209,109 @@ class TestProvingKeySerialization:
             deserialize_proving_key(data + b"\x00")
         with pytest.raises(SerializationError):
             deserialize_proving_key(b"\x7f" + data[1:])
+
+
+def _off_subgroup_g2_bytes() -> bytes:
+    """Encoding of ``(x0, 0)``-x twist points for the first small ``x0``
+    that decodes: on the curve, but not in the order-r subgroup."""
+    for x0 in range(1, 100):
+        x = FQ2([x0, 0])
+        if sqrt_fq2(x * x * x + BN254_G2.b) is not None:
+            return bytes([0]) + x0.to_bytes(32, "big") + bytes(32)
+    raise AssertionError("no small twist x decodes")
+
+
+def _toy_real_setup():
+    from repro.ec.backend import RealBN254Backend
+    from repro.r1cs.system import ConstraintSystem
+    from repro.snark import groth16
+
+    cs = ConstraintSystem()
+    ref = cs.new_public(35)
+    wire = cs.mul_private(cs.new_private(5), cs.new_private(7))
+    cs.enforce_equal(cs.lc_variable(wire), cs.lc_variable(ref))
+    backend = RealBN254Backend()
+    setup = groth16.setup(cs, backend, random.Random(1))
+    proof = groth16.prove(setup.proving_key, cs, backend, random.Random(2))
+    return setup.verifying_key, proof
+
+
+class TestG2SubgroupCheck:
+    """Attack tests: a verifier must not accept a G2 point of the wrong
+    order, even though it lies on the twist curve and decodes."""
+
+    def test_attack_point_is_on_curve_but_off_subgroup(self):
+        point = deserialize_g2(_off_subgroup_g2_bytes())
+        # (r-1)·P == -P holds exactly on the subgroup; the affine reference
+        # reduces r-1 to itself, so this is an independent check.
+        assert BN254_G2.scalar_mul(point, BN254_G2.order - 1) != -point
+
+    def test_proof_with_off_subgroup_b_rejected(self):
+        _, proof = _toy_real_setup()
+        data = serialize_proof(proof)
+        assert deserialize_proof(data).b == proof.b  # genuine proof decodes
+        forged = data[:33] + _off_subgroup_g2_bytes() + data[98:]
+        with pytest.raises(SerializationError):
+            deserialize_proof(forged)
+
+    def test_vk_with_off_subgroup_delta_rejected(self):
+        from repro.snark.serialize import (
+            deserialize_verifying_key,
+            serialize_verifying_key,
+        )
+
+        vk, _ = _toy_real_setup()
+        data = serialize_verifying_key(vk)
+        assert serialize_verifying_key(deserialize_verifying_key(data)) == data
+        forged = data[:163] + _off_subgroup_g2_bytes() + data[228:]
+        with pytest.raises(SerializationError):
+            deserialize_verifying_key(forged)
+
+
+class TestGoldenBytes:
+    """Real-curve SHAL:micro keys and proof, byte for byte, with fixed rngs.
+
+    The digests were recorded before the curve engine replaced the affine,
+    Jacobian and Pippenger paths; any change to the group arithmetic that
+    alters a single point shows up here.
+    """
+
+    PK = "018a8b6c96540e3fc9d69acaa63d9a649cd2a58e417ff59082f7b3578a429c35"
+    VK = "2db10c9cac32fc1f21200cd1febd10a842b16d138569119997c72aa4f921d691"
+    PROOF = "6c986abec594ce9eb9120dcf69e7a2f784a569096c270cf03f7025c19be132a6"
+
+    def test_real_shal_micro_digests(self):
+        import hashlib
+
+        from repro.core.compiler import ZenoCompiler, zeno_options
+        from repro.ec.backend import RealBN254Backend
+        from repro.nn.data import synthetic_images
+        from repro.nn.models import build_model
+        from repro.snark import groth16
+        from repro.snark.keys import precompute_proving_tables
+        from repro.snark.serialize import (
+            serialize_proving_key,
+            serialize_verifying_key,
+        )
+
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        model = build_model("SHAL", scale="micro", seed=0)
+        image = synthetic_images(model.input_shape, n=1, seed=7)[0]
+        artifact = ZenoCompiler(zeno_options()).compile_model(model, image)
+        backend = RealBN254Backend()
+        keys = groth16.setup(artifact.cs, backend, random.Random(11))
+        pk, vk = keys.proving_key, keys.verifying_key
+        assert digest(serialize_proving_key(pk)) == self.PK
+        assert digest(serialize_verifying_key(vk)) == self.VK
+
+        proof = groth16.prove(pk, artifact.cs, backend, random.Random(13))
+        assert digest(serialize_proof(proof)) == self.PROOF
+        # The fixed-base tables (G1 and G2) give the same proof.
+        tables = precompute_proving_tables(pk, backend)
+        tabled = groth16.prove(
+            pk, artifact.cs, backend, random.Random(13), tables=tables
+        )
+        assert digest(serialize_proof(tabled)) == self.PROOF
+        assert groth16.verify(vk, artifact.public_inputs(), proof, backend)
