@@ -136,7 +136,9 @@ class GadgetEmitter:
         consumed (mutated in place).
 
         In strict mode the remainder is bit-decomposed (booleanity per bit)
-        and the output gets an offset range proof covering [-255, 255].
+        and the output gets an offset range proof covering [-255, 255]
+        (exactly [-256, 767]); an output outside it raises ``ValueError``
+        instead of emitting an unsatisfiable system.
         """
         cs = self.cs
         share_key = None
@@ -178,6 +180,12 @@ class GadgetEmitter:
         if self.mode == "strict" and not public:
             # Offset range proof: out + 256 in [0, 1024) covers [-255, 255].
             shifted_out = out_value + RANGE_OFFSET
+            if not 0 <= shifted_out < (1 << RANGE_BITS):
+                raise ValueError(
+                    f"output {out_value} exceeds the strict output range "
+                    f"[{-RANGE_OFFSET}, {(1 << RANGE_BITS) - RANGE_OFFSET - 1}] "
+                    f"({tag}[{index}])"
+                )
             recompose = cs.lc()
             for i in range(RANGE_BITS):
                 bit_var = self.boolean((shifted_out >> i) & 1, tag=f"{tag}/range")

@@ -99,6 +99,21 @@ class TestCommitOutput:
         cs.assign(out, 124)
         assert not cs.is_satisfied()
 
+    @pytest.mark.parametrize("value", [-257, 768])
+    def test_strict_output_range_validated(self, value):
+        """An output the 10-bit range proof cannot hold is rejected."""
+        cs, em = emitter("strict")
+        lc, _ = acc_lc(cs, value)
+        with pytest.raises(ValueError, match="strict output range"):
+            em.commit_output(lc, value, shift=0, slot_bits=16)
+
+    @pytest.mark.parametrize("value", [-256, 767])
+    def test_strict_output_range_edges_satisfied(self, value):
+        cs, em = emitter("strict")
+        lc, _ = acc_lc(cs, value)
+        em.commit_output(lc, value, shift=0, slot_bits=16)
+        assert cs.is_satisfied()
+
     def test_invalid_mode_rejected(self):
         cs = ConstraintSystem()
         with pytest.raises(ValueError):

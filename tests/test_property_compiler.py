@@ -7,12 +7,15 @@ IRs must agree exactly when knit is disabled.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.gadgets import RANGE_BITS, RANGE_OFFSET
 from repro.core.compiler import ZenoCompiler, arkworks_options, zeno_options
 from repro.core.lang.primitives import ProgramBuilder
+from repro.core.lang.program import DotLayerOp
 from repro.core.lang.types import Privacy
 from repro.core.privacy.knit import KnitPacker
 from repro.r1cs.system import ConstraintSystem
@@ -68,6 +71,17 @@ def small_programs(draw):
     return builder.build()
 
 
+def fits_strict_range(program):
+    """Whether every range-proven (non-final) layer output fits strict mode."""
+    lo, hi = -RANGE_OFFSET, (1 << RANGE_BITS) - RANGE_OFFSET
+    return all(
+        lo <= int(v) < hi
+        for op in program.ops[:-1]
+        if isinstance(op, DotLayerOp)
+        for v in op.out_values.ravel()
+    )
+
+
 class TestRandomPrograms:
     @given(program=small_programs())
     @settings(max_examples=25, deadline=None)
@@ -79,7 +93,13 @@ class TestRandomPrograms:
             zeno_options(fusion=False, gadget_mode="strict"),
         ):
             options = options
-            artifact = ZenoCompiler(options).compile_program(program)
+            compiler = ZenoCompiler(options)
+            if options.gadget_mode == "strict" and not fits_strict_range(program):
+                # Out of the strict gadgets' domain: rejected, not unsatisfiable.
+                with pytest.raises(ValueError, match="strict output range"):
+                    compiler.compile_program(program)
+                continue
+            artifact = compiler.compile_program(program)
             assert artifact.cs.is_satisfied(), options.name
             outputs.add(tuple(artifact.public_outputs_signed()))
         assert len(outputs) == 1
